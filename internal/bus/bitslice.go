@@ -576,7 +576,7 @@ func (b *Bus) AccumulateBitsliced(words []uint64) {
 			end = len(words)
 		}
 		PackPlanes(words[base:end], &planes)
-		b.AccumulatePlanes(&planes, end-base)
+		b.AccumulateEncoded(&planes, end-base, words[end-1])
 	}
 	recordBitslice(int64(len(words)))
 }

@@ -106,50 +106,36 @@ func runParallelCuts(c Codec, s *trace.Stream, cuts []int, opts ParallelOpts) (R
 	entries := s.Entries
 	root := obs.StartSpan("codec.run_parallel", obs.StageEval).WithCodec(c.Name()).WithStream(s.Name)
 
-	// Build one seeded encoder per shard: encs[k] holds the state of
-	// the sequential run after entries [0, cuts[k]-1) — i.e. entering
-	// the boundary entry that worker k re-encodes to prime its bus.
-	encs := make([]Encoder, p)
-	encs[0] = c.NewEncoder()
-	var sweepEntries int64
-	if _, ok := encs[0].(Seeder); ok {
-		for k := 1; k < p; k++ {
-			enc := c.NewEncoder()
-			if lead := cuts[k] - 1; lead > 0 {
-				enc.(Seeder).SeedFrom(SymbolOf(entries[lead-1]))
-			}
-			encs[k] = enc
+	// Build one boundary per shard: bds[k] carries the state of the
+	// sequential run after entries [0, cuts[k]-1) — i.e. entering the
+	// boundary entry that worker k re-encodes to prime its bus.
+	bds := make([]Boundary, p)
+	bds[0].First = true
+	for k := 1; k < p; k++ {
+		lead := cuts[k] - 1
+		bds[k].Prev = entries[lead]
+		if lead > 0 {
+			bds[k].SeedSym = SymbolOf(entries[lead-1])
+			bds[k].HaveSeedSym = true
 		}
-	} else {
-		// State-only sweep: run the batch kernel over the prefix into a
-		// pooled scratch buffer, snapshotting at each boundary. Nothing
-		// is counted or verified here — the shards redo that work in
-		// parallel.
+	}
+	var sweepEntries int64
+	if sw, err := NewStateSweep(c); err != nil {
+		root.EndErr(err)
+		return Result{}, err
+	} else if sw != nil {
+		// State-only sweep: run the batch kernel over the prefix,
+		// snapshotting at each boundary. Nothing is counted or verified
+		// here — the shards redo that work in parallel.
 		ssp := root.Child("codec.seed_sweep", obs.StageEncode)
-		sweep := c.NewEncoder()
-		sc := sweep.(StateCodec)
-		be := AsBatch(sweep)
-		buf := runBufPool.Get().(*runBuf)
 		j := 0
 		for k := 1; k < p; k++ {
 			lead := cuts[k] - 1
-			for j < lead {
-				m := lead - j
-				if m > runChunk {
-					m = runChunk
-				}
-				syms := buf.syms[:m]
-				for i := 0; i < m; i++ {
-					syms[i] = SymbolOf(entries[j+i])
-				}
-				be.EncodeBatch(syms, buf.words[:m])
-				j += m
-			}
-			enc := c.NewEncoder()
-			enc.(StateCodec).Restore(sc.Snapshot())
-			encs[k] = enc
+			sw.StepEntries(entries[j:lead])
+			j = lead
+			bds[k].State = sw.Snapshot()
 		}
-		runBufPool.Put(buf)
+		sw.Close()
 		sweepEntries = int64(cuts[p-1] - 1)
 		if sweepEntries < 0 {
 			sweepEntries = 0
@@ -170,16 +156,7 @@ func runParallelCuts(c Codec, s *trace.Stream, cuts []int, opts ParallelOpts) (R
 			if timed {
 				t0 = time.Now()
 			}
-			bd := Boundary{First: k == 0}
-			if k > 0 {
-				lead := cuts[k] - 1
-				bd.Prev = entries[lead]
-				if lead > 0 {
-					bd.SeedSym = SymbolOf(entries[lead-1])
-					bd.HaveSeedSym = true
-				}
-			}
-			b, err := priceShard(c, entries[cuts[k]:cuts[k+1]], bd, cuts[k], encs[k], opts)
+			b, err := PriceShard(c, entries[cuts[k]:cuts[k+1]], bds[k], cuts[k], opts)
 			if timed {
 				RecordShard(time.Since(t0).Nanoseconds())
 			}

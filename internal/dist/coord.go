@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"busenc/internal/bus"
@@ -17,14 +16,16 @@ import (
 	"busenc/internal/trace"
 )
 
-// Coordinator: plan -> seed sweep -> dispatch -> merge. Concurrency is
-// deliberately boring — one goroutine per slot (local worker process or
-// TCP peer) pulling shard indices off a shared queue with a bounded
-// in-flight window (see dispatch.go), results funneled to the
-// coordinator goroutine over a channel, no shared mutable state beyond
-// the counters. Determinism comes from the merge, not the schedule:
-// results land in fixed per-shard slots and buses merge in ascending
-// shard order, so any interleaving of workers produces the same totals.
+// Coordinator: plan -> (scan || dispatch) -> merge. Concurrency is
+// deliberately boring — one scan goroutine publishing shard indices to
+// a shared queue as it passes their cuts (see scan.go), one goroutine
+// per slot (local worker process or TCP peer) pulling them off it
+// within a bounded in-flight window (see dispatch.go), results
+// funneled to the coordinator goroutine over a channel, no shared
+// mutable state beyond the counters. Determinism comes from the merge,
+// not the schedule: results land in fixed per-shard slots and buses
+// merge in ascending shard order, so any interleaving of workers
+// produces the same totals.
 
 // Spawner creates worker transports. id is the worker's slot in the
 // pool; gen counts respawns of that slot (0 for the first spawn), which
@@ -80,8 +81,9 @@ type Opts struct {
 	// into its content-addressed store before dispatch; a peer that
 	// already holds the digest receives zero trace bytes.
 	Peers []string
-	// Window bounds in-flight shards per slot; <= 0 means
-	// DefaultWindow. Window 1 reproduces the old lock-step dispatch.
+	// Window bounds in-flight shards per slot: a slot holding Window
+	// unanswered jobs takes no more work until one is answered. <= 0
+	// means DefaultWindow; Window 1 is lock-step dispatch.
 	Window int
 	// HeartbeatInterval and HeartbeatTimeout tune liveness probing of
 	// busy slots; <= 0 means the defaults. A slot silent past the
@@ -106,6 +108,10 @@ type Opts struct {
 	// death is re-dispatched before the sweep fails; <= 0 means 1
 	// (retry once).
 	RetryLimit int
+
+	// onPublish, when non-nil, runs on the scan goroutine after each
+	// shard is queued — the in-package tests' view of the pipeline.
+	onPublish func(shard int)
 }
 
 // Sweep prices the trace at path across a pool of worker processes and
@@ -113,6 +119,13 @@ type Opts struct {
 // bit-identical to codec.RunFast over the same stream. Text traces are
 // converted to a temporary BETR file once; BETR traces are shared with
 // the workers by path, so no shard data crosses the pipes.
+//
+// The coordinator is one pipeline, not a chain of barriers: a single
+// forward scan of the mapped trace (see scan.go) decodes every entry
+// once, steps the prefix-dependent codecs' encoders state-only, and
+// publishes shard k to the dispatcher the moment it passes cut k, so
+// the pool prices early shards while the scan is still reading late
+// ones. Nothing holds the trace, or any shard of it, as []trace.Entry.
 func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	if len(opts.Codecs) == 0 {
 		return nil, fmt.Errorf("dist: no codecs requested")
@@ -140,20 +153,28 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	}
 	root := obs.StartSpanCtx("dist.sweep", obs.StageEval, rootCtx).WithStream(path)
 
-	// Plan: one scan of the byte view yields the shard descriptors.
+	// Plan: map the view and read its header. The cut entry indices
+	// follow from the header's entry count alone; the cuts themselves
+	// stream out of the scan.
 	psp := root.Child("dist.plan", obs.StageRead)
-	plan, cleanup, err := planTrace(path, shards)
+	plan, cleanup, err := openPlan(path, shards)
 	if err != nil {
 		psp.EndErr(err)
 		root.EndErr(err)
 		return nil, err
 	}
 	defer cleanup()
-	digest := planDigest(plan.idx, opts.Codecs, int(opts.Verify), opts.PerLine, int(opts.Kernel))
+	// The content digest names the trace to peers and keys the
+	// checkpoint; a sweep needing neither skips the hash.
+	if len(opts.Peers) > 0 || opts.Checkpoint != "" {
+		sum := sha256.Sum256(plan.data)
+		plan.ref = "sha256:" + hex.EncodeToString(sum[:])
+	}
 	psp.End()
 
 	// Checkpoint: recover what a previous coordinator already priced.
-	prior, jr, err := openCheckpoint(opts.Checkpoint, digest, plan, shards, opts.Codecs)
+	digest := planDigest(plan.ref, shards, opts.Codecs, int(opts.Verify), opts.PerLine, int(opts.Kernel))
+	prior, jr, err := openCheckpoint(opts.Checkpoint, digest, plan, opts.Codecs)
 	if err != nil {
 		root.EndErr(err)
 		return nil, err
@@ -162,23 +183,17 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 		defer jr.Close()
 	}
 
-	// Seed sweep: one sequential state-only pass per prefix-dependent
-	// codec, producing the marshaled boundary state each mid-stream
-	// shard needs. Skipped entirely when every codec seeds from the
-	// previous symbol, or when the journal already holds the states.
-	ssp := root.Child("dist.seed_sweep", obs.StageEncode)
-	states, err := boundaryStates(plan, opts.Codecs, shards, prior, jr)
+	d, err := newDispatcher(root, plan, opts, workers+len(opts.Peers), prior, jr)
 	if err != nil {
-		ssp.EndErr(err)
 		root.EndErr(err)
 		return nil, err
 	}
-	ssp.End()
+	d.startScan()
 
 	// Slot pool: one config per local worker plus one per TCP peer.
 	// Peers are handshaken (version via /healthz) and the trace is
-	// shipped by digest before any shard is dispatched, so a dispatch
-	// never stalls on a bulk upload.
+	// shipped by digest before any slot starts, so a dispatch never
+	// stalls on a bulk upload; the scan is already publishing shards.
 	cfgs := make([]slotConfig, 0, workers+len(opts.Peers))
 	for i := 0; i < workers; i++ {
 		cfgs = append(cfgs, slotConfig{spawn: opts.Spawn})
@@ -188,18 +203,18 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 		if ns == nil {
 			ns = &NetStats{}
 		}
-		ref, err := shipTrace(root, plan, opts.Peers, ns)
-		if err != nil {
+		if err := shipTrace(root, plan, opts.Peers, ns); err != nil {
+			d.abort()
 			root.EndErr(err)
 			return nil, err
 		}
 		for _, addr := range opts.Peers {
-			cfgs = append(cfgs, slotConfig{spawn: peerSpawner(addr, ns), ref: ref})
+			cfgs = append(cfgs, slotConfig{spawn: peerSpawner(addr, ns), ref: plan.ref})
 		}
 	}
 
-	// Dispatch: fan the not-yet-done shards out to the pool.
-	stats, err := dispatch(root, plan, opts, cfgs, shards, states, prior, jr)
+	// Dispatch: fan shards out to the pool as the scan publishes them.
+	stats, err := d.run(cfgs)
 	if err != nil {
 		root.EndErr(err)
 		return nil, err
@@ -227,19 +242,37 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	return results, nil
 }
 
-// planned is the coordinator's view of the trace: the shard index plus
-// the mapped byte view it was planned over.
+// planned is the coordinator's view of the trace: the mapped bytes,
+// the header, the cut entry indices, and — filled in by the scan as it
+// passes them — the cuts themselves.
 type planned struct {
-	path string // BETR path the workers open (maybe a temp conversion)
-	idx  *trace.BETRIndex
-	data []byte
+	path   string // BETR path the workers open (maybe a temp conversion)
+	data   []byte
+	name   string
+	width  int
+	total  int64
+	shards int
+	// ref is the trace's content address ("sha256:<hex>"), set when
+	// peers or a checkpoint need it.
+	ref string
+	// entry[k] is cut k's entry index (entry[shards] the end), known
+	// from the header before any entry is read.
+	entry []int64
+	// scan is the streamed planner over data; cuts[k] is written by
+	// the scan goroutine before shard k is published, and read only by
+	// whoever received k from the work queue.
+	scan *trace.CutReader
+	cuts []trace.RangeCut
 }
 
-// planTrace maps the trace and plans shard descriptors over it. A text
-// trace (anything without the BETR magic) is decoded once and
-// materialized as a temporary BETR file so workers can byte-range it;
-// the returned cleanup removes the temp file and unmaps the view.
-func planTrace(path string, shards int) (*planned, func(), error) {
+// shardLen is the entry count of shard k.
+func (p *planned) shardLen(k int) int64 { return p.entry[k+1] - p.entry[k] }
+
+// openPlan maps the trace and opens the streamed planner over it. A
+// text trace (anything without the BETR magic) is converted once into
+// a temporary BETR file so workers can byte-range it; the returned
+// cleanup removes the temp file and unmaps the view.
+func openPlan(path string, shards int) (*planned, func(), error) {
 	data, closer, err := trace.MapBytes(path)
 	if err != nil {
 		return nil, nil, err
@@ -248,70 +281,86 @@ func planTrace(path string, shards int) (*planned, func(), error) {
 	if len(data) < 4 || string(data[:4]) != "BETR" {
 		// Text trace: convert once. The temp file lives for the whole
 		// sweep so late-spawned (and respawned) workers can open it.
-		s, derr := decodeText(path, closer)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		f, ferr := os.CreateTemp("", "busenc-dist-*.betr")
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		if err := trace.WriteBinary(f, s); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, nil, err
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(f.Name())
-			return nil, nil, err
-		}
-		tmp = f.Name()
-		path = tmp
-		data, closer, err = trace.MapBytes(path)
-		if err != nil {
-			os.Remove(tmp)
-			return nil, nil, err
-		}
-	}
-	idx, err := trace.IndexBETR(data, path, shards)
-	if err != nil {
 		closer.Close()
-		if tmp != "" {
-			os.Remove(tmp)
+		if tmp, err = convertText(path); err != nil {
+			return nil, nil, err
 		}
-		return nil, nil, err
+		path = tmp
+		if data, closer, err = trace.MapBytes(path); err != nil {
+			os.Remove(tmp)
+			return nil, nil, err
+		}
 	}
-	RecordPlan(idx.Total, shards)
 	cleanup := func() {
 		closer.Close()
 		if tmp != "" {
 			os.Remove(tmp)
 		}
 	}
-	return &planned{path: path, idx: idx, data: data}, cleanup, nil
+	r, err := trace.NewCutReader(data, path, shards, nil)
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	p := &planned{
+		path: path, data: data, name: r.Name(), width: r.Width(), total: r.Total(),
+		shards: shards, scan: r,
+		entry: make([]int64, shards+1),
+		cuts:  make([]trace.RangeCut, shards+1),
+	}
+	for k := range p.entry {
+		p.entry[k] = r.Target(k)
+	}
+	RecordPlan(p.total, shards)
+	return p, cleanup, nil
 }
 
-// decodeText reads a whole non-BETR trace through the streaming
-// reader. viewCloser is the MapBytes closer for the raw view, released
-// here in all paths.
-func decodeText(path string, viewCloser interface{ Close() error }) (*trace.Stream, error) {
-	defer viewCloser.Close()
+// convertText streams a non-BETR trace into a temporary BETR file and
+// returns its path. The text is read twice — once to count entries
+// and settle the metadata (text comments may follow the entries), once
+// to write them — so memory stays at a few pooled chunks.
+func convertText(path string) (string, error) {
 	r, closer, err := trace.OpenFile(path, nil)
 	if err != nil {
-		return nil, err
+		return "", err
+	}
+	n, err := trace.Copy(r, func(*trace.Chunk) error { return nil })
+	closer.Close()
+	if err != nil {
+		return "", err
+	}
+	name, width := r.Name(), r.Width()
+	if r, closer, err = trace.OpenFile(path, nil); err != nil {
+		return "", err
 	}
 	defer closer.Close()
-	return trace.ReadAll(r)
+	f, err := os.CreateTemp("", "busenc-dist-*.betr")
+	if err != nil {
+		return "", err
+	}
+	if err := trace.WriteBinaryChunks(f, name, width, uint64(n), r); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return "", err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
-// planDigest content-addresses a sweep plan: the shard geometry plus
-// everything that changes what workers compute. A checkpoint written
-// under a different digest is for a different sweep and must not be
-// resumed into this one.
-func planDigest(idx *trace.BETRIndex, specs []CodecSpec, verify int, perLine bool, kernel int) string {
+// planDigest content-addresses a sweep plan: the trace's content
+// digest plus everything that determines the cuts or what workers
+// compute. The cuts follow from the bytes and the shard count alone,
+// so the digest is known before the scan that finds them starts. A
+// checkpoint written under a different digest is for a different
+// sweep and must not be resumed into this one.
+func planDigest(ref string, shards int, specs []CodecSpec, verify int, perLine bool, kernel int) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	enc.Encode(idx)
+	enc.Encode(ref)
+	enc.Encode(shards)
 	enc.Encode(specs)
 	enc.Encode([]int{verify, kernel})
 	enc.Encode(perLine)
@@ -320,7 +369,7 @@ func planDigest(idx *trace.BETRIndex, specs []CodecSpec, verify int, perLine boo
 
 // openCheckpoint loads any prior journal state and opens the journal
 // for appending, writing the plan header if the file is fresh.
-func openCheckpoint(path, digest string, plan *planned, shards int, specs []CodecSpec) (*journalState, *journal, error) {
+func openCheckpoint(path, digest string, plan *planned, specs []CodecSpec) (*journalState, *journal, error) {
 	if path == "" {
 		return &journalState{boundary: map[int]map[string][]byte{}, done: map[int]map[string]bus.Stats{}}, nil, nil
 	}
@@ -343,7 +392,7 @@ func openCheckpoint(path, digest string, plan *planned, shards int, specs []Code
 		}
 		if err := jr.append(journalRec{
 			Type: recPlan, PlanDigest: digest, Trace: plan.path,
-			Total: plan.idx.Total, Shards: shards, Codecs: names,
+			Total: plan.total, Shards: plan.shards, Codecs: names,
 		}); err != nil {
 			jr.Close()
 			return nil, nil, err
@@ -353,121 +402,19 @@ func openCheckpoint(path, digest string, plan *planned, shards int, specs []Code
 	return prior, jr, nil
 }
 
-// boundaryStates returns, for each shard, the marshaled boundary state
-// per prefix-dependent codec — from the journal when a previous
-// coordinator already swept, otherwise by running codec.BoundaryStates
-// over the decoded stream and journaling the product.
-func boundaryStates(plan *planned, specs []CodecSpec, shards int, prior *journalState, jr *journal) ([]map[string][]byte, error) {
-	out := make([]map[string][]byte, shards)
-	// Which codecs even need a sweep? Seeder codecs seed from the
-	// descriptor's boundary entries alone.
-	var sweepSpecs []CodecSpec
-	for _, cs := range specs {
-		c, err := cs.New()
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := c.NewEncoder().(codec.Seeder); !ok {
-			sweepSpecs = append(sweepSpecs, cs)
-		}
-	}
-	if len(sweepSpecs) == 0 {
-		return out, nil
-	}
-	if len(prior.boundary) == shards {
-		complete := true
-		for k := 0; k < shards && complete; k++ {
-			states := prior.boundary[k]
-			for _, cs := range sweepSpecs {
-				if _, ok := states[cs.Name]; !ok && needsState(plan, k) {
-					complete = false
-					break
-				}
-			}
-			out[k] = states
-		}
-		if complete {
-			return out, nil
-		}
-	}
-	// Decode the stream once, sweep every prefix-dependent codec.
-	r, err := trace.NewMemRangeReader(plan.data, plan.idx.Name, plan.idx.Width, plan.idx.Cuts[0], plan.idx.Total, plan.path, nil)
-	if err != nil {
-		return nil, err
-	}
-	s, err := trace.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	cuts := make([]int, shards+1)
-	for k := range cuts {
-		cuts[k] = int(plan.idx.Cuts[k].Entry)
-	}
-	perCodec := make(map[string][][]byte, len(sweepSpecs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, len(sweepSpecs))
-	for i, cs := range sweepSpecs {
-		wg.Add(1)
-		go func(i int, cs CodecSpec) {
-			defer wg.Done()
-			c, err := cs.New()
-			if err == nil {
-				var states [][]byte
-				states, err = codec.BoundaryStates(c, s.Entries, cuts)
-				if err == nil {
-					mu.Lock()
-					perCodec[cs.Name] = states
-					mu.Unlock()
-				}
-			}
-			errs[i] = err
-		}(i, cs)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	RecordSeedSweep(int64(len(s.Entries)) * int64(len(sweepSpecs)))
-	for k := 0; k < shards; k++ {
-		states := map[string][]byte{}
-		for name, sts := range perCodec {
-			if st := sts[k]; st != nil {
-				states[name] = st
-			}
-		}
-		out[k] = states
-		if jr != nil {
-			if err := jr.append(journalRec{Type: recBoundary, Shard: k, States: states}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// needsState reports whether shard k of the plan starts mid-stream —
-// only such shards require an explicit boundary state.
-func needsState(plan *planned, k int) bool {
-	return plan.idx.Cuts[k].Entry > 0 && plan.idx.Cuts[k].Entry < plan.idx.Cuts[k+1].Entry
-}
-
 // buildJob assembles the wire job for one shard.
 func buildJob(plan *planned, opts Opts, shard int, states map[string][]byte) *Job {
 	cjs := make([]CodecJob, len(opts.Codecs))
 	for i, cs := range opts.Codecs {
 		cjs[i] = CodecJob{Spec: cs, State: states[cs.Name]}
 	}
-	cut := plan.idx.Cuts[shard]
 	return &Job{
 		TracePath: plan.path,
-		Stream:    plan.idx.Name,
-		Width:     plan.idx.Width,
+		Stream:    plan.name,
+		Width:     plan.width,
 		Shard:     shard,
-		Cut:       cut,
-		N:         plan.idx.Cuts[shard+1].Entry - cut.Entry,
+		Cut:       plan.cuts[shard],
+		N:         plan.shardLen(shard),
 		Codecs:    cjs,
 		Verify:    int(opts.Verify),
 		PerLine:   opts.PerLine,
@@ -502,7 +449,7 @@ func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) 
 		}
 		results[i] = codec.Result{
 			Codec:       cs.Name,
-			Stream:      plan.idx.Name,
+			Stream:      plan.name,
 			BusWidth:    c.BusWidth(),
 			Transitions: merged.Transitions(),
 			Cycles:      merged.Cycles(),

@@ -12,13 +12,15 @@ import (
 )
 
 // Pipelined dispatch. Every slot — a local worker process or a TCP
-// busencd peer — keeps up to Window shards in flight at once: jobs are
-// written ahead of results, so transport latency overlaps with pricing
-// instead of serializing it. Shards live on one shared work queue;
-// when a worker dies (EOF, protocol error, or heartbeat timeout) its
-// in-flight shards go back on the queue and any slot — typically a
-// different one — re-prices them, bounded by the per-shard retry
-// budget. Determinism is untouched: results land in fixed per-shard
+// busencd peer — keeps up to Window shards in flight at once, and never
+// more: jobs are written ahead of results, so transport latency
+// overlaps with pricing instead of serializing it, while a slot with a
+// full window stops taking work so the queue reaches the other slots.
+// Shards arrive on one shared work queue as the scan (scan.go)
+// publishes them; when a worker dies (EOF, protocol error, or heartbeat
+// timeout) its in-flight shards go back on the queue and any slot —
+// typically a different one — re-prices them, bounded by the per-shard
+// retry budget. Determinism is untouched: results land in fixed per-shard
 // slots and merge in ascending shard order, so the schedule (and the
 // window size) cannot change the totals.
 
@@ -41,6 +43,7 @@ const (
 	dResult   = iota // a shard priced (stats or a shard-level error)
 	dRequeue         // a shard orphaned by a worker death or spawn failure
 	dSlotDead        // a slot retired after exhausting its spawn budget
+	dScanErr         // the scan failed: a corrupt trace or a journal write
 )
 
 // delivery is one event funneled back to the coordinator goroutine,
@@ -62,12 +65,23 @@ type slotConfig struct {
 	ref   string
 }
 
-// dispatcher owns the shared state of one dispatch run.
+// dispatcher owns the shared state of one sweep's scan and dispatch.
 type dispatcher struct {
-	root   obs.SpanHandle
-	plan   *planned
-	opts   Opts
+	root  obs.SpanHandle
+	plan  *planned
+	opts  Opts
+	prior *journalState
+	jr    *journal
+	// states[k] is shard k's boundary states, written by the scan
+	// before k is published (the work queue orders the hand-off).
 	states []map[string][]byte
+
+	// Scan state (scan.go). sweeps are the prefix-dependent codecs'
+	// state-only sweeps; fromJournal means the journal supplied every
+	// state and the scan only finds cuts.
+	sweeps      []seedSweep
+	fromJournal bool
+	scanDone    chan struct{}
 
 	window     int
 	hbEvery    time.Duration
@@ -78,7 +92,8 @@ type dispatcher struct {
 
 	// work is the shard queue. Buffered to the shard count and never
 	// closed: slots learn the sweep is over from stop, not from the
-	// queue draining (a requeue can refill it at any time).
+	// queue draining (the scan publishes into it progressively, and a
+	// requeue can refill it at any time).
 	work chan int
 	// deliveries is buffered generously so slots rarely block handing
 	// events back; deliver falls back to a stop-guarded send, so after
@@ -128,6 +143,10 @@ type slot struct {
 	lastRecv   time.Time
 	worker     string // "host/pid" of the current worker, from its hello
 	pingSent   int64  // unix ns of the unanswered heartbeat ping, 0 when none
+	// readySince is when the slot, with window capacity to spare, found
+	// the queue empty while the scan was still publishing; zero when
+	// it is not waiting on the scan.
+	readySince time.Time
 }
 
 // recordClock funnels one clock-offset sample everywhere it is wanted:
@@ -153,11 +172,13 @@ func (sl *slot) run() {
 	defer sl.d.wg.Done()
 	for {
 		var first int
+		sl.awaitScan()
 		select {
 		case <-sl.d.stop:
 			return
 		case first = <-sl.d.work:
 		}
+		sl.gotWork()
 		if !sl.serveFrom(first) {
 			return
 		}
@@ -292,6 +313,7 @@ func (sl *slot) serve(pending int) (died bool) {
 		for len(sl.inflight) < sl.d.window {
 			select {
 			case sh := <-sl.d.work:
+				sl.gotWork()
 				if err := sl.dispatch(sh); err != nil {
 					sl.die(err)
 					return true
@@ -301,6 +323,15 @@ func (sl *slot) serve(pending int) (died bool) {
 			}
 			break
 		}
+		// The window bounds what this slot holds: with it full, the
+		// slot stops receiving, so queued shards reach the other
+		// slots instead of piling up behind this one.
+		work := sl.d.work
+		if len(sl.inflight) >= sl.d.window {
+			work = nil
+		} else {
+			sl.awaitScan()
+		}
 		if len(sl.inflight) == 0 {
 			// Idle: block for work. No pings while idle — dispatch
 			// resets the liveness epoch when work resumes.
@@ -308,7 +339,8 @@ func (sl *slot) serve(pending int) (died bool) {
 			case <-sl.d.stop:
 				sl.shutdown()
 				return false
-			case sh := <-sl.d.work:
+			case sh := <-work:
+				sl.gotWork()
 				if err := sl.dispatch(sh); err != nil {
 					sl.die(err)
 					return true
@@ -320,7 +352,8 @@ func (sl *slot) serve(pending int) (died bool) {
 		case <-sl.d.stop:
 			sl.shutdown()
 			return false
-		case sh := <-sl.d.work:
+		case sh := <-work:
+			sl.gotWork()
 			if err := sl.dispatch(sh); err != nil {
 				sl.die(err)
 				return true
@@ -361,6 +394,23 @@ func (sl *slot) serve(pending int) (died bool) {
 				return true
 			}
 		}
+	}
+}
+
+// awaitScan notes the start of a wait for work while the scan is still
+// publishing: the slot has window capacity and the queue is empty, so
+// the scan, not the pool, bounds the sweep right now.
+func (sl *slot) awaitScan() {
+	if sl.readySince.IsZero() && len(sl.d.work) == 0 && sl.d.scanning() {
+		sl.readySince = time.Now()
+	}
+}
+
+// gotWork ends a wait noted by awaitScan, publishing its length.
+func (sl *slot) gotWork() {
+	if !sl.readySince.IsZero() {
+		recordReadyWait(time.Since(sl.readySince).Nanoseconds())
+		sl.readySince = time.Time{}
 	}
 }
 
@@ -527,21 +577,9 @@ func (sl *slot) reap() {
 	sl.frames = nil
 }
 
-// dispatch runs the slot pool over every shard the journal does not
-// already hold and returns the per-shard stats slots (journal-recovered
-// slots included).
-func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, shards int, states []map[string][]byte, prior *journalState, jr *journal) ([]map[string]bus.Stats, error) {
-	dsp := root.Child("dist.dispatch", obs.StageEval)
-	stats := make([]map[string]bus.Stats, shards)
-	shardErrs := make([]error, shards)
-	var pendingShards []int
-	for k := 0; k < shards; k++ {
-		if st, ok := prior.done[k]; ok {
-			stats[k] = st
-			continue
-		}
-		pendingShards = append(pendingShards, k)
-	}
+// newDispatcher sets up one sweep's scan and dispatch over nslots
+// slots; startScan and run then drive it, or abort tears it down.
+func newDispatcher(root obs.SpanHandle, plan *planned, opts Opts, nslots int, prior *journalState, jr *journal) (*dispatcher, error) {
 	retryLimit := opts.RetryLimit
 	if retryLimit <= 0 {
 		retryLimit = 1
@@ -558,17 +596,48 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 	if hbTimeout <= 0 {
 		hbTimeout = DefaultHeartbeatTimeout
 	}
-
+	shards := plan.shards
 	d := &dispatcher{
-		root: root, plan: plan, opts: opts, states: states,
-		window: window, hbEvery: hbEvery, hbTimeout: hbTimeout,
+		root: root, plan: plan, opts: opts, prior: prior, jr: jr,
+		states:   make([]map[string][]byte, shards),
+		scanDone: make(chan struct{}),
+		window:   window, hbEvery: hbEvery, hbTimeout: hbTimeout,
 		retryLimit: retryLimit, net: opts.Net, harvest: opts.Harvest,
 		work:       make(chan int, shards),
-		deliveries: make(chan delivery, 2*shards+len(cfgs)*(window+retryLimit+3)+16),
+		deliveries: make(chan delivery, 2*shards+nslots*(window+retryLimit+3)+16),
 		stop:       make(chan struct{}),
 	}
-	for _, k := range pendingShards {
-		d.work <- k
+	if err := d.prepareScan(); err != nil {
+		d.closeSweeps()
+		return nil, err
+	}
+	return d, nil
+}
+
+// abort halts a dispatcher whose slots never started and waits for
+// the scan to let go of the mapped view.
+func (d *dispatcher) abort() {
+	d.halt()
+	<-d.scanDone
+}
+
+// run drives the slot pool over every shard the journal does not
+// already hold, as the scan publishes them, and returns the per-shard
+// stats slots (journal-recovered slots included). It returns only
+// once the scan has finished with the mapped view.
+func (d *dispatcher) run(cfgs []slotConfig) ([]map[string]bus.Stats, error) {
+	opts, shards, prior, jr := d.opts, d.plan.shards, d.prior, d.jr
+	retryLimit := d.retryLimit
+	dsp := d.root.Child("dist.dispatch", obs.StageEval)
+	stats := make([]map[string]bus.Stats, shards)
+	shardErrs := make([]error, shards)
+	var pendingShards []int
+	for k := 0; k < shards; k++ {
+		if st, ok := prior.done[k]; ok {
+			stats[k] = st
+			continue
+		}
+		pendingShards = append(pendingShards, k)
 	}
 	live := len(cfgs)
 	for id, cfg := range cfgs {
@@ -643,6 +712,11 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 				fatal = fmt.Errorf("dist: every worker slot died before the sweep finished (last: %v)", lastDead)
 				d.halt()
 			}
+		case dScanErr:
+			// A corrupt trace outranks every shard-level error: the
+			// planner's positioned error is the sweep's error.
+			fatal = dl.err
+			d.halt()
 		}
 	}
 collect:
@@ -654,9 +728,21 @@ collect:
 			break collect
 		}
 	}
+	// Every shard is priced, or the sweep is failing: either way the
+	// scan finishes first — it still validates the bytes past the last
+	// cut, and a corrupt tail must fail the sweep with its positioned
+	// error, not succeed or fail with a worker's.
+	for fatal == nil && !stopped && d.scanning() {
+		select {
+		case <-d.scanDone:
+		case dl := <-d.deliveries:
+			handle(dl)
+		}
+	}
 	d.halt()
 	d.wg.Wait()
-	// Slots have exited; pick up anything still buffered. On a
+	<-d.scanDone
+	// Slots and scan have exited; pick up anything still buffered. On a
 	// deliberate stop only results matter (a slot racing to die must
 	// not fail a stopped sweep); otherwise handle everything so fatal
 	// states surface.

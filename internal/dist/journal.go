@@ -8,13 +8,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 
 	"busenc/internal/bus"
 )
 
 // Checkpoint journal: JSON lines, append-only, fsync'd per record. The
 // first line is the plan header; every later line is either one
-// shard's boundary states (written as the seed sweep produces them) or
+// shard's boundary states (written as the scan produces them) or
 // one shard's completed result with a digest of its statistics. A
 // coordinator killed at any byte boundary leaves at worst one torn
 // trailing line, which resume discards — every fully written record is
@@ -46,9 +47,12 @@ type journalRec struct {
 	Digest string               `json:"digest,omitempty"`
 }
 
-// journal is an open checkpoint file in append mode.
+// journal is an open checkpoint file in append mode. The scan journals
+// boundary records while the dispatcher journals results, so appends
+// serialize on mu.
 type journal struct {
-	f *os.File
+	mu sync.Mutex
+	f  *os.File
 }
 
 // statsDigest is the content address of one shard's statistics:
@@ -82,6 +86,8 @@ func (j *journal) append(rec journalRec) error {
 		return err
 	}
 	line = append(line, '\n')
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if _, err := j.f.Write(line); err != nil {
 		return err
 	}

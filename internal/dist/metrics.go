@@ -19,12 +19,23 @@ func RecordPlan(entries int64, shards int) {
 }
 
 // RecordSeedSweep publishes the entries re-encoded by the coordinator's
-// state-only boundary sweep (summed across prefix-dependent codecs).
+// streamed state-only sweep (summed across prefix-dependent codecs).
 func RecordSeedSweep(entries int64) {
 	if !obs.Enabled() {
 		return
 	}
 	obs.GetCounter("dist.seed_sweep.entries").Add(entries)
+}
+
+// recordReadyWait publishes one wait of a slot that had window
+// capacity to spare but found no shard queued while the scan was still
+// publishing: large waits mean the coordinator's scan, not the pool,
+// bounds the sweep.
+func recordReadyWait(ns int64) {
+	if !obs.Enabled() {
+		return
+	}
+	obs.GetHistogram("dist.dispatch.ready_wait_ns").Observe(ns)
 }
 
 // RecordResume publishes how many shards a resumed sweep recovered from

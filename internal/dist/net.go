@@ -3,8 +3,6 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -127,36 +125,34 @@ func checkPeer(addr string) (PeerHealth, error) {
 	return h, nil
 }
 
-// shipTrace makes the planned trace available on every peer and
-// returns its content address. Each peer is probed first (GET
+// shipTrace makes the planned trace available on every peer under its
+// content address (plan.ref). Each peer is probed first (GET
 // /traces/{digest}): a hit means the peer already holds the bytes and
 // nothing ships — the dedup property the re-sweep benchmarks assert.
-func shipTrace(root obs.SpanHandle, plan *planned, peers []string, ns *NetStats) (string, error) {
+func shipTrace(root obs.SpanHandle, plan *planned, peers []string, ns *NetStats) error {
 	sp := root.Child("dist.net.ship", obs.StageNet)
-	sum := sha256.Sum256(plan.data)
-	ref := "sha256:" + hex.EncodeToString(sum[:])
 	for _, addr := range peers {
 		if _, err := checkPeer(addr); err != nil {
 			sp.EndErr(err)
-			return "", err
+			return err
 		}
-		have, err := peerHasTrace(addr, ref)
+		have, err := peerHasTrace(addr, plan.ref)
 		if err != nil {
 			sp.EndErr(err)
-			return "", err
+			return err
 		}
 		if have {
 			ns.TraceDedupHits.Add(1)
 			recordTraceDedup()
 			continue
 		}
-		if err := uploadTrace(addr, ref, plan.data, ns); err != nil {
+		if err := uploadTrace(addr, plan.ref, plan.data, ns); err != nil {
 			sp.EndErr(err)
-			return "", err
+			return err
 		}
 	}
 	sp.End()
-	return ref, nil
+	return nil
 }
 
 // peerHasTrace probes the peer's store for a digest.

@@ -1,9 +1,10 @@
 // Package dist prices huge traces across worker processes. The
 // coordinator plans a BETR (or text, converted once) trace into
 // contiguous byte-range shards over one shared mmap view — no shard
-// files are written — runs the cheap state-only boundary sweep that
-// makes mid-stream shards exact (see codec.Boundary), fans the shards
-// out to a pool of workers over a stdin/stdout framed protocol, and
+// files are written — and, in the same forward scan, runs the
+// state-only boundary sweep that makes mid-stream shards exact (see
+// codec.Boundary), handing each shard to a pool of workers over a
+// stdin/stdout framed protocol as soon as the scan passes its cut. It
 // merges the returned bus accumulators deterministically in ascending
 // shard order, so the distributed result is bit-identical to
 // codec.RunFast. A journal-based checkpoint makes a killed sweep

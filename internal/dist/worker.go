@@ -208,14 +208,18 @@ type mappedView struct {
 	closer io.Closer
 }
 
-// priceJob prices one shard for every codec in the job. Any error —
-// resolving or opening the trace, decoding the range, a verification
-// mismatch — is reported in the result rather than killing the worker,
-// so a bad shard fails the sweep through the ordered merge (lowest
-// shard wins) instead of looking like a worker crash. sp is the
-// shard-level span (inert when the sweep is not harvesting); each
-// codec prices under its own child so the merged timeline attributes
-// time per codec per peer.
+// priceJob prices one shard for every codec in the job, in one pass:
+// the shard's byte range streams through a single chunk loop, each
+// chunk decoded once and handed to one codec.ShardPricer for every
+// codec (see its doc for the shared packing and plane transpose). Any
+// error — resolving or opening the trace, decoding the range, a
+// verification mismatch — is reported in the result rather than
+// killing the worker, so a bad shard fails the sweep through the
+// ordered merge (lowest shard wins) instead of looking like a worker
+// crash. sp is the shard-level span (inert when the sweep is not
+// harvesting spans); each codec gets a dist.codec_price child, and
+// since the codecs price interleaved chunk by chunk, those children
+// overlap and each spans the whole pass.
 func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string, error), sp obs.SpanHandle) *ShardResult {
 	res := &ShardResult{Shard: j.Shard}
 	v, ok := views[j.TracePath]
@@ -242,50 +246,63 @@ func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string,
 		res.Err = err.Error()
 		return res
 	}
-	s, err := trace.ReadAll(r)
+	bd := codec.Boundary{First: j.Cut.Entry == 0}
+	if !bd.First {
+		bd.Prev = trace.Entry{Addr: j.Cut.PrevAddr, Kind: j.Cut.PrevKind}
+		if j.Cut.Entry >= 2 {
+			bd.SeedSym = codec.SymbolOf(trace.Entry{Addr: j.Cut.Prev2Addr, Kind: j.Cut.Prev2Kind})
+			bd.HaveSeedSym = true
+		}
+	}
+	codecs := make([]codec.Codec, len(j.Codecs))
+	states := make([]codec.State, len(j.Codecs))
+	spans := make([]obs.SpanHandle, len(j.Codecs))
+	endSpans := func(err error) {
+		for _, csp := range spans {
+			csp.EndErr(err)
+		}
+	}
+	for i, cj := range j.Codecs {
+		spans[i] = sp.Child("dist.codec_price", obs.StageEncode).WithCodec(cj.Spec.Name)
+		c, err := cj.Spec.New()
+		if err == nil && !bd.First && len(cj.State) > 0 {
+			states[i], err = codec.UnmarshalState(cj.State)
+		}
+		if err != nil {
+			endSpans(err)
+			res.Err = err.Error()
+			return res
+		}
+		codecs[i] = c
+	}
+	p := codec.NewShardPricer(codecs, bd, states, int(j.Cut.Entry), codec.ParallelOpts{
+		Verify:  codec.VerifyMode(j.Verify),
+		PerLine: j.PerLine,
+		Kernel:  codec.Kernel(j.Kernel),
+	})
+	for {
+		ch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			p.Finish()
+			endSpans(err)
+			res.Err = err.Error()
+			return res
+		}
+		p.Consume(ch.Addrs, ch.Kinds)
+		ch.Release()
+	}
+	buses, err := p.Finish()
+	endSpans(err)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	opts := codec.ParallelOpts{
-		Verify:  codec.VerifyMode(j.Verify),
-		PerLine: j.PerLine,
-		Kernel:  codec.Kernel(j.Kernel),
-	}
 	res.Stats = make(map[string]bus.Stats, len(j.Codecs))
-	for _, cj := range j.Codecs {
-		csp := sp.Child("dist.codec_price", obs.StageEncode).WithCodec(cj.Spec.Name)
-		c, err := cj.Spec.New()
-		if err != nil {
-			csp.EndErr(err)
-			res.Err = err.Error()
-			return res
-		}
-		bd := codec.Boundary{First: j.Cut.Entry == 0}
-		if !bd.First {
-			bd.Prev = trace.Entry{Addr: j.Cut.PrevAddr, Kind: j.Cut.PrevKind}
-			if j.Cut.Entry >= 2 {
-				bd.SeedSym = codec.SymbolOf(trace.Entry{Addr: j.Cut.Prev2Addr, Kind: j.Cut.Prev2Kind})
-				bd.HaveSeedSym = true
-			}
-			if len(cj.State) > 0 {
-				st, err := codec.UnmarshalState(cj.State)
-				if err != nil {
-					csp.EndErr(err)
-					res.Err = err.Error()
-					return res
-				}
-				bd.State = st
-			}
-		}
-		b, err := codec.PriceShard(c, s.Entries, bd, int(j.Cut.Entry), opts)
-		if err != nil {
-			csp.EndErr(err)
-			res.Err = err.Error()
-			return res
-		}
-		csp.End()
-		res.Stats[cj.Spec.Name] = b.Stats()
+	for i, cj := range j.Codecs {
+		res.Stats[cj.Spec.Name] = buses[i].Stats()
 	}
 	return res
 }

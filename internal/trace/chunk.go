@@ -197,6 +197,17 @@ type entryCounter interface {
 	EntryCount() (uint64, bool)
 }
 
+// entryBounder is implemented by readers that can bound how many
+// entries their remaining bytes could possibly hold. A header count is
+// untrusted input: ReadAll preallocates at most that bound, or at most
+// maxBlindPrealloc entries from readers that cannot bound themselves,
+// so a lying header cannot demand gigabytes.
+type entryBounder interface {
+	maxEntries() uint64
+}
+
+const maxBlindPrealloc = 1 << 16
+
 // ReadAll drains a ChunkReader into a materialized Stream. It is the
 // compatibility bridge for callers that genuinely need the whole trace
 // in memory; the streaming evaluators never call it.
@@ -205,8 +216,12 @@ func ReadAll(r ChunkReader) (_ *Stream, err error) {
 	defer func() { sp.EndErr(err) }()
 	s := New(r.Name(), r.Width())
 	if ec, ok := r.(entryCounter); ok {
-		if n, known := ec.EntryCount(); known && n <= 1<<30 {
-			s.Entries = make([]Entry, 0, n)
+		if n, known := ec.EntryCount(); known {
+			bound := uint64(maxBlindPrealloc)
+			if eb, ok := r.(entryBounder); ok {
+				bound = eb.maxEntries()
+			}
+			s.Entries = make([]Entry, 0, min(n, bound))
 		}
 	}
 	for {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -103,4 +104,83 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("binary round trip changed the stream")
 		}
 	})
+}
+
+// FuzzPlanScan is the differential oracle for the streamed shard
+// planner: for arbitrary bytes and part counts, CutReader must plan
+// exactly IndexBETR's cuts (header fields included), or both must fail
+// with the same positioned error. Chunks must never straddle a cut.
+func FuzzPlanScan(f *testing.F) {
+	mk := func(n int, seed int64) []byte {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, randomStream(n, seed)); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := mk(50, 4)
+	f.Add(valid, uint8(3))
+	f.Add(valid, uint8(64))
+	f.Add(valid[:len(valid)-1], uint8(2))
+	f.Add(valid[:len(valid)/2], uint8(7))
+	f.Add(mk(0, 1), uint8(4))
+	f.Add(mk(3, 2), uint8(9))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{'B', 'E', 'T', 'R', 1, 8, 0, 1, 7, 0}, uint8(2))                            // bad kind
+	f.Add([]byte{'B', 'E', 'T', 'R', 1, 8, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 2}, uint8(5)) // huge count
+	f.Add(valid, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, parts uint8) {
+		p := int(parts % 80) // 0 exercises the refusal path
+		want, werr := IndexBETR(data, "f.betr", p)
+		got, gerr := scanCuts(t, data, "f.betr", p)
+		if werr != nil || gerr != nil {
+			if werr == nil || gerr == nil || werr.Error() != gerr.Error() {
+				t.Fatalf("errors differ: IndexBETR %v, CutReader %v", werr, gerr)
+			}
+			return
+		}
+		if got.Name != want.Name || got.Width != want.Width || got.Total != want.Total {
+			t.Fatalf("header %q/%d/%d, want %q/%d/%d", got.Name, got.Width, got.Total, want.Name, want.Width, want.Total)
+		}
+		if len(got.Cuts) != len(want.Cuts) {
+			t.Fatalf("%d cuts, want %d", len(got.Cuts), len(want.Cuts))
+		}
+		for k := range want.Cuts {
+			if got.Cuts[k] != want.Cuts[k] {
+				t.Fatalf("cut %d = %+v, want %+v", k, got.Cuts[k], want.Cuts[k])
+			}
+		}
+	})
+}
+
+// scanCuts drains a CutReader over a small-chunk pool, checking that
+// no chunk straddles a cut and that each cut is published as soon as
+// the scan reaches it.
+func scanCuts(t *testing.T, data []byte, file string, parts int) (*BETRIndex, error) {
+	r, err := NewCutReader(data, file, parts, NewChunkPool(5))
+	if err != nil {
+		return nil, err
+	}
+	var pos int64
+	for {
+		ch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		end := pos + int64(ch.Len())
+		ch.Release()
+		for k := 0; k <= parts; k++ {
+			if e := r.Target(k); e > pos && e < end {
+				t.Fatalf("chunk [%d,%d) straddles cut %d at %d", pos, end, k, e)
+			}
+		}
+		pos = end
+		if n := len(r.Cuts()); n <= parts && r.Target(n) <= pos {
+			t.Fatalf("at entry %d: cut %d (entry %d) not yet published", pos, n, r.Target(n))
+		}
+	}
+	return &BETRIndex{Name: r.Name(), Width: r.Width(), Total: r.Total(), Cuts: r.Cuts()}, nil
 }

@@ -77,25 +77,41 @@ const binMagic = "BETR"
 
 // WriteBinary writes the stream in the compact binary trace format.
 func WriteBinary(w io.Writer, s *Stream) error {
+	return WriteBinaryChunks(w, s.Name, s.Width, uint64(len(s.Entries)), s.Chunks(0))
+}
+
+// WriteBinaryChunks writes a binary trace whose entries stream out of
+// r, which must yield exactly count entries (the header declares the
+// count up front, so a streaming producer has to know it — for text
+// input, from a counting pass). Memory stays at one chunk.
+func WriteBinaryChunks(w io.Writer, name string, width int, count uint64, r ChunkReader) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binMagic); err != nil {
 		return err
 	}
 	bw.WriteByte(1)
-	bw.WriteByte(byte(s.Width))
+	bw.WriteByte(byte(width))
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(s.Name)))
+	n := binary.PutUvarint(buf[:], uint64(len(name)))
 	bw.Write(buf[:n])
-	bw.WriteString(s.Name)
-	n = binary.PutUvarint(buf[:], uint64(len(s.Entries)))
+	bw.WriteString(name)
+	n = binary.PutUvarint(buf[:], count)
 	bw.Write(buf[:n])
 	prev := uint64(0)
-	for _, e := range s.Entries {
-		bw.WriteByte(byte(e.Kind))
-		delta := int64(e.Addr - prev)
-		n = binary.PutVarint(buf[:], delta)
-		bw.Write(buf[:n])
-		prev = e.Addr
+	written, err := Copy(r, func(ch *Chunk) error {
+		for i, a := range ch.Addrs {
+			bw.WriteByte(byte(ch.Kinds[i]))
+			n := binary.PutVarint(buf[:], int64(a-prev))
+			bw.Write(buf[:n])
+			prev = a
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if uint64(written) != count {
+		return fmt.Errorf("trace: wrote %d entries under a header declaring %d", written, count)
 	}
 	return bw.Flush()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -177,5 +178,33 @@ func TestBinaryRejectsBadKind(t *testing.T) {
 	raw := []byte{'B', 'E', 'T', 'R', 1, 8, 0, 1, 7, 0}
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Error("bad kind accepted")
+	}
+}
+
+// TestReadAllLyingHeader: a header claiming far more entries than the
+// bytes hold fails as truncated without preallocating for the claim —
+// from a stream reader and from an in-memory view alike.
+func TestReadAllLyingHeader(t *testing.T) {
+	data := []byte{'B', 'E', 'T', 'R', 1, 4, 0, 0xde, 0xf4, 0xe7, 0x8d, 0x03, 0, 2, 1, 4}
+	for name, read := range map[string]func() error{
+		"stream": func() error { _, err := ReadBinary(bytes.NewReader(data)); return err },
+		"mem": func() error {
+			r, err := NewMemReader(data, "", nil)
+			if err == nil {
+				_, err = ReadAll(r)
+			}
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated trace accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s: reading a lying header allocated %d bytes", name, grew)
+		}
 	}
 }

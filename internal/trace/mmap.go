@@ -41,6 +41,10 @@ type memChunkReader struct {
 	chunks    int
 	mapped    bool // view is an mmap, not a heap buffer (for tests/metrics)
 	err       error
+	// stop, when nonzero, is an entry index no chunk may cross: a chunk
+	// ends at it exactly when it would otherwise straddle it
+	// (CutReader's cut alignment).
+	stop uint64
 }
 
 // NewMemReader returns a streaming reader decoding a binary-format
@@ -125,6 +129,10 @@ func (m *memChunkReader) Width() int   { return m.width }
 // EntryCount reports the header-declared entry count (entryCounter).
 func (m *memChunkReader) EntryCount() (uint64, bool) { return m.total, true }
 
+// maxEntries bounds the entries the rest of the view can hold: every
+// record is at least a kind byte and one varint byte (entryBounder).
+func (m *memChunkReader) maxEntries() uint64 { return uint64(len(m.data)-m.pos) / 2 }
+
 func (m *memChunkReader) Next() (*Chunk, error) {
 	ch, err := observeNext(m.err != nil, m.name, m.chunks, m.next)
 	if err == nil {
@@ -147,6 +155,9 @@ func (m *memChunkReader) next() (*Chunk, error) {
 		n = m.remaining
 	}
 	entry := m.total - m.remaining
+	if m.stop > entry && m.stop-entry < n {
+		n = m.stop - entry
+	}
 	data := m.data
 	pos := m.pos
 	prev := m.prev

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 )
 
@@ -15,10 +16,11 @@ import (
 // the two preceding entries (the first so the delta chain can continue,
 // both so shard pricing can rebuild its encoder/decoder boundary, see
 // codec.Boundary). IndexBETR produces the cuts with one cheap scan —
-// no entries are materialized, no shard files are written — and
-// NewMemRangeReader turns a cut back into a streaming reader over the
-// same mapping. The distributed sweep (internal/dist) plans with
-// IndexBETR in the coordinator and decodes with NewMemRangeReader in
+// no entries are materialized, no shard files are written — CutReader
+// produces the same cuts while streaming the entries to a consumer,
+// and NewMemRangeReader turns a cut back into a streaming reader over
+// the same mapping. The distributed sweep (internal/dist) plans with
+// CutReader in the coordinator and decodes with NewMemRangeReader in
 // the workers; both sides share the kernel page cache, so a shard is
 // never copied.
 
@@ -54,7 +56,9 @@ type BETRIndex struct {
 // IndexBETR scans a BETR byte view (an mmap'd file or an in-memory
 // buffer) and plans parts contiguous shards with sizes as equal as
 // possible (the same k*n/p cut policy as codec.RunParallel). Errors are
-// positioned like the streaming reader's; file may be empty.
+// positioned like the streaming reader's; file may be empty. It is the
+// whole-view reference planner; CutReader plans the same cuts while
+// streaming the entries to a consumer.
 func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("trace: plan of %d parts", parts)
@@ -63,22 +67,18 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := int64(m.total)
-	idx := &BETRIndex{Name: m.name, Width: m.width, Total: total, Cuts: make([]RangeCut, 0, parts+1)}
-	// The k*n/p cut policy; repeated targets yield empty shards when
-	// parts exceeds the entry count.
-	targets := make([]int64, parts+1)
-	for k := range targets {
-		targets[k] = int64(k) * total / int64(parts)
-	}
+	total := m.total
+	idx := &BETRIndex{Name: m.name, Width: m.width, Total: int64(total), Cuts: make([]RangeCut, 0, parts+1)}
 	var prevAddr, prev2Addr uint64
 	var prevKind, prev2Kind Kind
 	pos := int64(m.pos)
 	addr := uint64(0)
 	k := 0
-	for e := int64(0); e <= total; e++ {
-		for k <= parts && targets[k] == e {
-			idx.Cuts = append(idx.Cuts, RangeCut{Entry: e, Off: pos,
+	for e := uint64(0); ; e++ {
+		// Repeated targets yield empty shards when parts exceeds the
+		// entry count.
+		for k <= parts && cutEntry(k, parts, total) == e {
+			idx.Cuts = append(idx.Cuts, RangeCut{Entry: int64(e), Off: pos,
 				PrevAddr: prevAddr, PrevKind: prevKind,
 				Prev2Addr: prev2Addr, Prev2Kind: prev2Kind})
 			k++
@@ -109,16 +109,103 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 		prev2Addr, prev2Kind = prevAddr, prevKind
 		prevAddr, prevKind = addr, Kind(kb)
 	}
-	if got := len(idx.Cuts); got != parts+1 {
-		return nil, fmt.Errorf("trace: planned %d cuts for %d parts", got, parts)
-	}
 	return idx, nil
 }
 
+// cutEntry is the k*total/parts cut policy, computed in 128 bits so a
+// header's entry count cannot overflow it (k <= parts keeps the
+// quotient within 64 bits).
+func cutEntry(k, parts int, total uint64) uint64 {
+	hi, lo := bits.Mul64(uint64(k), total)
+	q, _ := bits.Div64(hi, lo, uint64(parts))
+	return q
+}
+
+// CutReader is IndexBETR in streamed form: a ChunkReader over a whole
+// BETR view that plans the same cuts while it decodes. Cut k's entry
+// index (Target) follows from the header alone; the RangeCut itself —
+// byte offset and boundary entries — is known the moment the scan
+// passes it, because no chunk straddles a cut: a chunk that reaches a
+// cut ends on its boundary entry. A consumer can act on shard k
+// (dispatch it, snapshot encoder state at its boundary) while the rest
+// of the view is still unread. Errors are IndexBETR's, positioned
+// identically; FuzzPlanScan holds the two planners equal.
+type CutReader struct {
+	m     *memChunkReader
+	parts int
+	cuts  []RangeCut
+
+	prevAddr, prev2Addr uint64
+	prevKind, prev2Kind Kind
+}
+
+// NewCutReader parses the header of a BETR view and positions the scan
+// at entry 0, with every cut at entry 0 already passed. data is
+// aliased, not copied; a nil pool selects the shared default pool.
+func NewCutReader(data []byte, file string, parts int, pool *ChunkPool) (*CutReader, error) {
+	if parts <= 0 {
+		return nil, fmt.Errorf("trace: plan of %d parts", parts)
+	}
+	m, err := newMemReader(data, file, pool, false)
+	if err != nil {
+		return nil, err
+	}
+	r := &CutReader{m: m, parts: parts, cuts: make([]RangeCut, 0, parts+1)}
+	r.pass()
+	return r, nil
+}
+
+func (r *CutReader) Name() string { return r.m.name }
+func (r *CutReader) Width() int   { return r.m.width }
+
+// Total is the header-declared entry count.
+func (r *CutReader) Total() int64 { return int64(r.m.total) }
+
+// Target is the entry index of cut k (0 <= k <= parts): cut parts is
+// the end-of-stream sentinel.
+func (r *CutReader) Target(k int) int64 { return int64(cutEntry(k, r.parts, r.m.total)) }
+
+// Cuts returns the cuts passed so far, in order; after Next has
+// returned io.EOF it is the full parts+1 slice IndexBETR returns. The
+// slice is appended to by later Next calls.
+func (r *CutReader) Cuts() []RangeCut { return r.cuts }
+
+// Next returns the next chunk, ending no later than the next cut.
+func (r *CutReader) Next() (*Chunk, error) {
+	ch, err := r.m.Next()
+	if err != nil {
+		return nil, err
+	}
+	n := ch.Len()
+	if n >= 2 {
+		r.prev2Addr, r.prev2Kind = ch.Addrs[n-2], ch.Kinds[n-2]
+	} else {
+		r.prev2Addr, r.prev2Kind = r.prevAddr, r.prevKind
+	}
+	r.prevAddr, r.prevKind = ch.Addrs[n-1], ch.Kinds[n-1]
+	r.pass()
+	return ch, nil
+}
+
+// pass records every cut at the current scan position and bounds the
+// next chunk at the first cut beyond it.
+func (r *CutReader) pass() {
+	m := r.m
+	e := m.total - m.remaining
+	for len(r.cuts) <= r.parts && cutEntry(len(r.cuts), r.parts, m.total) == e {
+		r.cuts = append(r.cuts, RangeCut{Entry: int64(e), Off: int64(m.pos),
+			PrevAddr: r.prevAddr, PrevKind: r.prevKind,
+			Prev2Addr: r.prev2Addr, Prev2Kind: r.prev2Kind})
+	}
+	if len(r.cuts) <= r.parts {
+		m.stop = cutEntry(len(r.cuts), r.parts, m.total)
+	}
+}
+
 // NewMemRangeReader returns a streaming reader over n entries of a BETR
-// byte view starting at cut (as planned by IndexBETR over the same
-// view). name and width come from the BETRIndex; data is aliased, not
-// copied, and must stay valid until the reader is done.
+// byte view starting at cut (as planned by IndexBETR or CutReader over
+// the same view). name and width come from the plan; data is aliased,
+// not copied, and must stay valid until the reader is done.
 func NewMemRangeReader(data []byte, name string, width int, cut RangeCut, n int64, file string, pool *ChunkPool) (ChunkReader, error) {
 	if cut.Off < 0 || cut.Off > int64(len(data)) {
 		return nil, fmt.Errorf("trace: range cut at byte %d of a %d-byte view", cut.Off, len(data))

@@ -138,3 +138,43 @@ func TestMapBytesRoundTrip(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestCutReaderStreamsIndex: the streamed planner yields IndexBETR's
+// cuts and, concatenated, exactly the trace's entries — at the default
+// chunk size and at one that does not divide the shard sizes.
+func TestCutReaderStreamsIndex(t *testing.T) {
+	s := randomStream(20000, 23)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for _, parts := range []int{1, 3, 8, 16} {
+		for _, pool := range []*ChunkPool{nil, NewChunkPool(13)} {
+			want, err := IndexBETR(data, "mem", parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewCutReader(data, "mem", parts, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadAll(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !streamsEqual(got, s) {
+				t.Fatalf("parts=%d: streamed entries differ from the trace", parts)
+			}
+			cuts := r.Cuts()
+			if len(cuts) != len(want.Cuts) {
+				t.Fatalf("parts=%d: %d cuts, want %d", parts, len(cuts), len(want.Cuts))
+			}
+			for k := range cuts {
+				if cuts[k] != want.Cuts[k] || r.Target(k) != want.Cuts[k].Entry {
+					t.Fatalf("parts=%d: cut %d = %+v (target %d), want %+v", parts, k, cuts[k], r.Target(k), want.Cuts[k])
+				}
+			}
+		}
+	}
+}
