@@ -59,14 +59,17 @@ test-stream:
 
 # Short coverage-guided fuzz smoke — enough to catch a freshly
 # introduced panic on malformed input (trace parsers), a divergence
-# between the streamed shard planner and IndexBETR, or a broken
-# snapshot/restore contract (codec state splitting) without stalling
-# CI. Go allows one -fuzz target per invocation, hence separate runs.
+# between the streamed shard planner and IndexBETR, a broken
+# snapshot/restore contract (codec state splitting), or any pricing
+# path drifting from the codec.Run oracle (FuzzPricingPaths) without
+# stalling CI. Go allows one -fuzz target per invocation, hence
+# separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadText -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzPlanScan -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotSplit -fuzztime=5s ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzPricingPaths -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzTransposeRoundTrip -fuzztime=5s ./internal/bus
 
 # Span-tracing smoke: generate a small synthetic trace, evaluate it
