@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"busenc/internal/bus"
 	"busenc/internal/obs"
 	"busenc/internal/trace"
 )
@@ -73,11 +72,15 @@ const (
 	// KernelAuto picks the plane-domain bit-sliced path whenever the
 	// codec implements PlaneEncoder and the verify mode permits it
 	// (VerifyFull needs every encoded word and so forces the scalar
-	// path). This is the zero value: eligible codecs get the fast
-	// kernel without callers opting in, and parity tests pin the two
-	// paths bit-identical.
+	// path). Codecs left on their scalar batch kernels count per-line
+	// transitions on the transposed counter (bus.AccumulateBitsliced).
+	// This is the zero value: eligible codecs get the fast kernels
+	// without callers opting in, and parity tests pin every path
+	// bit-identical.
 	KernelAuto Kernel = iota
-	// KernelScalar forces the word-at-a-time scalar path.
+	// KernelScalar forces the word-at-a-time scalar path: batch-kernel
+	// encode and per-word counting (bus.Accumulate), per-line counts
+	// included.
 	KernelScalar
 	// KernelPlane requires the plane-domain path: evaluation fails if
 	// the codec has no plane kernel or the verify mode demands the
@@ -143,87 +146,46 @@ var runBufPool = sync.Pool{New: func() any {
 }}
 
 // RunFast is the batched counterpart of Run: it drives the stream through
-// the codec in chunks, using the codec's BatchEncoder kernel when it has
-// one, and counts transitions in bulk. Transitions, Cycles and
-// MaxPerCycle are identical to Run's for every codec; PerLine is filled
-// only when opts.PerLine is set, and decode verification follows
-// opts.Verify. RunFast is safe for concurrent use across goroutines (each
-// call has its own encoder, decoder, bus and pooled buffers).
+// the codec in chunks, using the codec's BatchEncoder kernel (or its
+// plane kernel, per opts.Kernel) and counting transitions in bulk.
+// Transitions, Cycles and MaxPerCycle are identical to Run's for every
+// codec; PerLine is filled only when opts.PerLine is set, and decode
+// verification follows opts.Verify. It is the whole stream priced as
+// shard 0 of a ShardPricer. RunFast is safe for concurrent use across
+// goroutines (each call has its own encoder, decoder, bus and pooled
+// buffers).
 func RunFast(c Codec, s *trace.Stream, opts RunOpts) (Result, error) {
-	if usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
-		return Result{}, err
-	} else if usePlane {
-		return runFastPlane(c, s, opts)
-	}
 	root := obs.StartSpan("codec.run_fast", obs.StageEncode).WithCodec(c.Name()).WithStream(s.Name)
-	enc := AsBatch(c.NewEncoder())
-	var b *bus.Bus
-	if opts.PerLine {
-		b = bus.New(c.BusWidth())
-	} else {
-		b = bus.NewAggregate(c.BusWidth())
+	res, err := priceStream([]Codec{c}, s, opts, root)
+	if err != nil {
+		return Result{}, err
 	}
-	var dec Decoder
-	verifyLeft := 0
-	switch opts.Verify {
-	case VerifyFull:
-		dec = c.NewDecoder()
-		verifyLeft = len(s.Entries)
-	case VerifySampled:
-		dec = c.NewDecoder()
-		verifyLeft = VerifySampleLen
-	}
-	mask := bus.Mask(c.PayloadWidth())
-	buf := runBufPool.Get().(*runBuf)
-	defer runBufPool.Put(buf)
+	return res[0], nil
+}
+
+// priceStream prices a materialized stream through every codec in one
+// ShardPricer pass, one codec.chunk span per engine batch under root,
+// which it ends. Results come back in codec order.
+func priceStream(codecs []Codec, s *trace.Stream, opts RunOpts, root obs.SpanHandle) ([]Result, error) {
+	p := NewShardPricer(codecs, Boundary{First: true}, nil, 0, opts)
 	entries := s.Entries
 	for base := 0; base < len(entries); base += runChunk {
-		end := base + runChunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		chunk := entries[base:end]
 		csp := root.Child("codec.chunk", obs.StageEncode).WithChunk(base / runChunk)
-		syms := buf.syms[:len(chunk)]
-		words := buf.words[:len(chunk)]
-		for i, e := range chunk {
-			syms[i] = SymbolOf(e)
-		}
-		enc.EncodeBatch(syms, words)
-		b.Accumulate(words)
-		if dec != nil && verifyLeft > 0 {
-			n := len(chunk)
-			if n > verifyLeft {
-				n = verifyLeft
-			}
-			for i := 0; i < n; i++ {
-				e := chunk[i]
-				got := dec.Decode(words[i], e.Sel())
-				if want := e.Addr & mask; got != want {
-					err := fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), base+i, want, got)
-					csp.EndErr(err)
-					root.EndErr(err)
-					return Result{}, err
-				}
-			}
-			verifyLeft -= n
-			if verifyLeft == 0 {
-				dec = nil
-			}
-		}
+		p.ConsumeEntries(entries[base:min(base+runChunk, len(entries))])
 		csp.End()
 	}
+	buses, err := p.Finish()
+	if err != nil {
+		root.EndErr(err)
+		return nil, err
+	}
 	root.End()
-	RecordRun(c.Name(), int64(len(entries)), b.Transitions())
-	return Result{
-		Codec:       c.Name(),
-		Stream:      s.Name,
-		BusWidth:    c.BusWidth(),
-		Transitions: b.Transitions(),
-		Cycles:      b.Cycles(),
-		PerLine:     b.PerLine(),
-		MaxPerCycle: b.MaxPerCycle(),
-	}, nil
+	results := make([]Result, len(codecs))
+	for i, c := range codecs {
+		results[i] = ResultOf(c, s.Name, buses[i])
+		RecordRun(c.Name(), int64(len(entries)), results[i].Transitions)
+	}
+	return results, nil
 }
 
 // MustRunFast is RunFast panicking on round-trip failure.

@@ -3,16 +3,16 @@ package codec
 import "busenc/internal/obs"
 
 // Observability hooks for the evaluation engines (see internal/obs).
-// Counting happens per evaluation, not per entry: RunFast and RunStream
+// Counting happens per evaluation, not per entry: the pricing paths
 // accumulate in locals through the batch kernels and publish totals
 // once per stream, so the enabled cost is a few registry lookups per
 // evaluation and the disabled cost is one branch.
 
 // RecordRun publishes one completed evaluation of a codec into the
 // gated default registry: entries encoded through the codec's batch
-// kernel and bus transitions counted for them. core.EvaluateStreaming
-// calls this for its fan-out workers; RunFast and RunStream call it
-// themselves. A no-op while metrics are disabled.
+// kernel and bus transitions counted for them. RunFast, RunPlaneSet and
+// RunParallel call it themselves; core.EvaluateStreaming calls it for
+// its fan-out workers. A no-op while metrics are disabled.
 func RecordRun(name string, entries, transitions int64) {
 	if !obs.Enabled() {
 		return

@@ -172,6 +172,22 @@ func (ps *PlaneSet) ConsumeEntries(entries []trace.Entry) {
 	}
 }
 
+// ConsumeSymbols is ConsumeEntries over packed encoder symbols, for a
+// caller that has already packed its entries for scalar kernels.
+func (ps *PlaneSet) ConsumeSymbols(syms []Symbol) {
+	var block [bus.BlockLen]uint64
+	for base := 0; base < len(syms); base += bus.BlockLen {
+		chunk := syms[base:min(base+bus.BlockLen, len(syms))]
+		for i := range chunk {
+			block[i] = chunk[i].Addr
+		}
+		ps.consumeBlock(block[:len(chunk)])
+	}
+	if len(syms) > 0 {
+		bus.RecordBitsliced(int64(len(syms)))
+	}
+}
+
 // consumeBlock prices one block of 1..bus.BlockLen addresses.
 func (ps *PlaneSet) consumeBlock(block []uint64) {
 	n := len(block)
@@ -205,17 +221,8 @@ func (ps *PlaneSet) Bus(i int) *bus.Bus { return ps.lanes[i].b }
 // codec, in construction order, labeled with the given stream name.
 func (ps *PlaneSet) Results(stream string) []Result {
 	out := make([]Result, len(ps.lanes))
-	for i := range ps.lanes {
-		ln := &ps.lanes[i]
-		out[i] = Result{
-			Codec:       ln.pe.Name(),
-			Stream:      stream,
-			BusWidth:    ln.pe.BusWidth(),
-			Transitions: ln.b.Transitions(),
-			Cycles:      ln.b.Cycles(),
-			PerLine:     ln.b.PerLine(),
-			MaxPerCycle: ln.b.MaxPerCycle(),
-		}
+	for i, ln := range ps.lanes {
+		out[i] = ResultOf(ln.pe, stream, ln.b)
 	}
 	return out
 }
@@ -242,98 +249,14 @@ func PlaneEligible(c Codec, k Kernel, v VerifyMode) (bool, error) {
 	}
 }
 
-// verifyPrefix replays the first n entries through a fresh scalar
-// encoder/decoder pair and checks the decode round trip, reproducing
-// exactly the sampled verification RunFast performs before the plane
-// path takes over (the plane path never materializes encoded words, so
-// the sample is re-encoded scalar-ly; all plane codecs are cheap
-// scalar encoders and the sample is small).
-func verifyPrefix(c Codec, entries []trace.Entry, n int) error {
-	if n > len(entries) {
-		n = len(entries)
-	}
-	enc := c.NewEncoder()
-	dec := c.NewDecoder()
-	mask := bus.Mask(c.PayloadWidth())
-	for i := 0; i < n; i++ {
-		e := entries[i]
-		word := enc.Encode(SymbolOf(e))
-		got := dec.Decode(word, e.Sel())
-		if want := e.Addr & mask; got != want {
-			return fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), i, want, got)
-		}
-	}
-	return nil
-}
-
-// runFastPlane is RunFast's plane-domain path: one PlaneSet over the
-// materialized stream, with sampled verification replayed scalar-ly up
-// front. Results are bit-identical to the scalar path.
-func runFastPlane(c Codec, s *trace.Stream, opts RunOpts) (Result, error) {
-	root := obs.StartSpan("codec.run_fast", obs.StageEncode).WithCodec(c.Name()).WithStream(s.Name)
-	if opts.Verify == VerifySampled {
-		if err := verifyPrefix(c, s.Entries, VerifySampleLen); err != nil {
-			root.EndErr(err)
-			return Result{}, err
-		}
-	}
-	ps, err := NewPlaneSet([]Codec{c}, opts.PerLine)
-	if err != nil {
-		root.EndErr(err)
-		return Result{}, err
-	}
-	consumeEntries(root, ps, s.Entries)
-	root.End()
-	res := ps.Results(s.Name)[0]
-	RecordRun(c.Name(), int64(len(s.Entries)), res.Transitions)
-	return res, nil
-}
-
-// consumeEntries feeds the entries to the set chunk by chunk (chunking
-// only bounds the per-span attribution; ConsumeEntries gathers each
-// 64-block on the stack itself).
-func consumeEntries(root obs.SpanHandle, ps *PlaneSet, entries []trace.Entry) {
-	for base := 0; base < len(entries); base += runChunk {
-		end := base + runChunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		csp := root.Child("codec.chunk", obs.StageEncode).WithChunk(base / runChunk)
-		ps.ConsumeEntries(entries[base:end])
-		csp.End()
-	}
-}
-
 // RunPlaneSet prices one materialized stream through several codecs in
 // a single sweep, sharing the per-block address transpose across all of
-// them — the cheapest way to regenerate a multi-codec table. Every
-// codec must have a plane kernel (NewPlaneSet's rule); opts.Kernel is
-// ignored (this entry point IS the plane kernel) and VerifyFull is
-// rejected like KernelPlane. Results come back in codec order and are
-// bit-identical to per-codec RunFast.
+// them — the cheapest way to regenerate a multi-codec table. It is
+// RunFast over every codec at once under KernelPlane (opts.Kernel is
+// ignored): a codec without a plane kernel, or VerifyFull, fails the
+// run. Results come back in codec order and are bit-identical to
+// per-codec RunFast.
 func RunPlaneSet(codecs []Codec, s *trace.Stream, opts RunOpts) ([]Result, error) {
-	if opts.Verify == VerifyFull {
-		return nil, fmt.Errorf("codec: RunPlaneSet cannot verify every entry; use VerifySampled or per-codec RunFast")
-	}
-	root := obs.StartSpan("codec.run_plane_set", obs.StageEncode).WithStream(s.Name)
-	if opts.Verify == VerifySampled {
-		for _, c := range codecs {
-			if err := verifyPrefix(c, s.Entries, VerifySampleLen); err != nil {
-				root.EndErr(err)
-				return nil, err
-			}
-		}
-	}
-	ps, err := NewPlaneSet(codecs, opts.PerLine)
-	if err != nil {
-		root.EndErr(err)
-		return nil, err
-	}
-	consumeEntries(root, ps, s.Entries)
-	root.End()
-	results := ps.Results(s.Name)
-	for _, r := range results {
-		RecordRun(r.Codec, int64(len(s.Entries)), r.Transitions)
-	}
-	return results, nil
+	opts.Kernel = KernelPlane
+	return priceStream(codecs, s, opts, obs.StartSpan("codec.run_plane_set", obs.StageEncode).WithStream(s.Name))
 }

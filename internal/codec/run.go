@@ -26,6 +26,19 @@ type Result struct {
 	MaxPerCycle int
 }
 
+// ResultOf reads one codec's statistics off the bus that priced stream.
+func ResultOf(c Codec, stream string, b *bus.Bus) Result {
+	return Result{
+		Codec:       c.Name(),
+		Stream:      stream,
+		BusWidth:    c.BusWidth(),
+		Transitions: b.Transitions(),
+		Cycles:      b.Cycles(),
+		PerLine:     b.PerLine(),
+		MaxPerCycle: b.MaxPerCycle(),
+	}
+}
+
 // AvgPerCycle returns the mean transitions per clock cycle.
 func (r Result) AvgPerCycle() float64 {
 	if r.Cycles <= 1 {

@@ -38,7 +38,7 @@ func TestShardPricerMultiCodecParity(t *testing.T) {
 	for _, kernel := range []Kernel{KernelAuto, KernelScalar} {
 		for _, verify := range []VerifyMode{VerifyFull, VerifySampled, VerifyNone} {
 			for _, perLine := range []bool{false, true} {
-				opts := ParallelOpts{Verify: verify, PerLine: perLine, Kernel: kernel}
+				opts := RunOpts{Verify: verify, PerLine: perLine, Kernel: kernel}
 				slots := make([][]*bus.Bus, len(codecs))
 				for k := 0; k+1 < len(cuts); k++ {
 					lo, hi := cuts[k], cuts[k+1]
@@ -113,13 +113,13 @@ func TestShardPricerErrorOrder(t *testing.T) {
 	}
 	// A mid-stream shard with no state: t0 cannot be seeded; binary can.
 	bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true}
-	p := NewShardPricer([]Codec{bin, t0}, bd, nil, 100, ParallelOpts{Verify: VerifyNone})
+	p := NewShardPricer([]Codec{bin, t0}, bd, nil, 100, RunOpts{Verify: VerifyNone})
 	p.ConsumeEntries(s.Entries[100:])
 	if _, err := p.Finish(); err == nil || !strings.Contains(err.Error(), "codec t0") {
 		t.Fatalf("err = %v, want t0's seeding failure", err)
 	}
 	// KernelPlane refuses t0 at set-up; binary (index 0) is fine.
-	p = NewShardPricer([]Codec{bin, t0}, Boundary{First: true}, nil, 0, ParallelOpts{Kernel: KernelPlane, Verify: VerifyNone})
+	p = NewShardPricer([]Codec{bin, t0}, Boundary{First: true}, nil, 0, RunOpts{Kernel: KernelPlane, Verify: VerifyNone})
 	p.ConsumeEntries(s.Entries)
 	if _, err := p.Finish(); err == nil || !strings.Contains(err.Error(), "t0") {
 		t.Fatalf("err = %v, want t0's kernel refusal", err)

@@ -15,17 +15,16 @@ import (
 
 // Streaming multi-codec fan-out. EvaluateStreaming reads a trace
 // exactly once and prices every codec concurrently: a single producer
-// parses chunks, converts them to encoder symbols, and broadcasts each
-// pooled, reference-counted block to one bounded channel per codec
-// worker. Backpressure is structural — when the slowest worker falls
-// Depth chunks behind, the producer blocks, so peak memory is
+// parses chunks, packs them into encoder symbols once, and broadcasts
+// each pooled, reference-counted block to one bounded channel per codec
+// worker, where a codec.ShardPricer (the one pricing loop) prices it.
+// Backpressure is structural — when the slowest worker falls Depth
+// chunks behind, the producer blocks, so peak memory is
 //
 //	O(codecs × Depth × chunkLen)
 //
 // symbols regardless of trace length. This is the evaluation path for
-// traces too large to materialize (the ROADMAP's multi-GB serving
-// scenario); for in-memory streams the batched RunFast remains the
-// lower-overhead choice.
+// traces read from files and uploads, which are never materialized.
 
 // DefaultFanoutDepth is the per-codec bounded channel depth: how many
 // chunks a fast worker may run ahead of the slowest one.
@@ -71,67 +70,11 @@ func (b *symBlock) release() {
 	symBlockPool.Put(b)
 }
 
-// streamWorker accumulates one codec's result over the broadcast blocks.
+// streamWorker prices one codec over the broadcast blocks.
 type streamWorker struct {
-	c          codec.Codec
-	enc        codec.BatchEncoder
-	b          *bus.Bus
-	dec        codec.Decoder
-	verifyLeft int
-	mask       uint64
-	words      []uint64
-	idx        int
-	in         chan *symBlock
-	err        error
-
-	// Plane-path state: when ps is non-nil the worker prices on the
-	// bit-sliced plane kernel (b aliases ps's bus so result() needs no
-	// special case); vEnc re-encodes the verification sample scalar-ly,
-	// and addrs is the worker-local SoA gather buffer.
-	ps    *codec.PlaneSet
-	vEnc  codec.Encoder
-	addrs []uint64
-}
-
-func newStreamWorker(c codec.Codec, cfg FanoutConfig, depth int) (*streamWorker, error) {
-	w := &streamWorker{
-		c:    c,
-		mask: bus.Mask(c.PayloadWidth()),
-		in:   make(chan *symBlock, depth),
-	}
-	usePlane, err := codec.PlaneEligible(c, cfg.Kernel, cfg.Verify)
-	if err != nil {
-		return nil, err
-	}
-	if usePlane {
-		ps, err := codec.NewPlaneSet([]codec.Codec{c}, cfg.PerLine)
-		if err != nil {
-			return nil, err
-		}
-		w.ps = ps
-		w.b = ps.Bus(0)
-		if cfg.Verify == codec.VerifySampled {
-			w.vEnc = c.NewEncoder()
-			w.dec = c.NewDecoder()
-			w.verifyLeft = codec.VerifySampleLen
-		}
-		return w, nil
-	}
-	w.enc = codec.AsBatch(c.NewEncoder())
-	if cfg.PerLine {
-		w.b = bus.New(c.BusWidth())
-	} else {
-		w.b = bus.NewAggregate(c.BusWidth())
-	}
-	switch cfg.Verify {
-	case codec.VerifyFull:
-		w.dec = c.NewDecoder()
-		w.verifyLeft = int(^uint(0) >> 1)
-	case codec.VerifySampled:
-		w.dec = c.NewDecoder()
-		w.verifyLeft = codec.VerifySampleLen
-	}
-	return w, nil
+	c  codec.Codec
+	p  *codec.ShardPricer
+	in chan *symBlock
 }
 
 // run drains the worker's channel; after a verification failure it
@@ -156,96 +99,15 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 		if !ok {
 			return
 		}
-		if w.err == nil {
+		if w.p.Err() == nil {
 			sp := parent.Child("core.worker", obs.StageEncode).WithCodec(w.c.Name()).WithChunk(blkIdx)
-			w.consume(blk)
-			sp.EndErr(w.err)
+			w.p.ConsumeSymbols(blk.syms)
+			sp.EndErr(w.p.Err())
 		} else {
 			m.drainEvents.Inc()
 		}
 		blkIdx++
 		blk.release()
-	}
-}
-
-func (w *streamWorker) consume(blk *symBlock) {
-	if w.ps != nil {
-		w.consumePlane(blk)
-		return
-	}
-	syms := blk.syms
-	n := len(syms)
-	if cap(w.words) < n {
-		w.words = make([]uint64, n)
-	}
-	words := w.words[:n]
-	w.enc.EncodeBatch(syms, words)
-	w.b.Accumulate(words)
-	if w.dec != nil && w.verifyLeft > 0 {
-		vn := n
-		if vn > w.verifyLeft {
-			vn = w.verifyLeft
-		}
-		for i := 0; i < vn; i++ {
-			got := w.dec.Decode(words[i], syms[i].Sel)
-			if want := syms[i].Addr & w.mask; got != want {
-				w.err = fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", w.c.Name(), w.idx+i, want, got)
-				return
-			}
-		}
-		w.verifyLeft -= vn
-		if w.verifyLeft == 0 {
-			w.dec = nil
-		}
-	}
-	w.idx += n
-}
-
-// consumePlane prices one block on the plane path: the SoA address
-// gather happens here, in the worker's goroutine, so the producer's
-// broadcast loop stays untouched. Sampled verification re-encodes the
-// leading entries scalar-ly, exactly like codec.RunStream's plane path.
-func (w *streamWorker) consumePlane(blk *symBlock) {
-	syms := blk.syms
-	n := len(syms)
-	if cap(w.addrs) < n {
-		w.addrs = make([]uint64, n)
-	}
-	addrs := w.addrs[:n]
-	for i := range syms {
-		addrs[i] = syms[i].Addr
-	}
-	if w.dec != nil && w.verifyLeft > 0 {
-		vn := n
-		if vn > w.verifyLeft {
-			vn = w.verifyLeft
-		}
-		for i := 0; i < vn; i++ {
-			word := w.vEnc.Encode(syms[i])
-			got := w.dec.Decode(word, syms[i].Sel)
-			if want := syms[i].Addr & w.mask; got != want {
-				w.err = fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", w.c.Name(), w.idx+i, want, got)
-				return
-			}
-		}
-		w.verifyLeft -= vn
-		if w.verifyLeft == 0 {
-			w.dec = nil
-		}
-	}
-	w.ps.Consume(addrs)
-	w.idx += n
-}
-
-func (w *streamWorker) result(stream string) codec.Result {
-	return codec.Result{
-		Codec:       w.c.Name(),
-		Stream:      stream,
-		BusWidth:    w.c.BusWidth(),
-		Transitions: w.b.Transitions(),
-		Cycles:      w.b.Cycles(),
-		PerLine:     w.b.PerLine(),
-		MaxPerCycle: w.b.MaxPerCycle(),
 	}
 }
 
@@ -268,14 +130,22 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		depth = DefaultFanoutDepth
 	}
 	root := obs.StartSpan("core.evaluate_streaming", obs.StageEval).WithStream(r.Name())
-	workers := make([]*streamWorker, len(codes))
-	for i, code := range codes {
+	ropts := codec.RunOpts{Verify: cfg.Verify, PerLine: cfg.PerLine, Kernel: cfg.Kernel}
+	workers := make([]*streamWorker, 0, len(codes))
+	for _, code := range codes {
 		c, err := codec.New(code, width, opts)
-		if err != nil {
-			root.EndErr(err)
-			return nil, err
+		if err == nil {
+			w := &streamWorker{c: c, in: make(chan *symBlock, depth)}
+			w.p = codec.NewShardPricer([]codec.Codec{c}, codec.Boundary{First: true}, nil, 0, ropts)
+			workers = append(workers, w)
+			err = w.p.Err()
 		}
-		if workers[i], err = newStreamWorker(c, cfg, depth); err != nil {
+		if err != nil {
+			// Fail before reading: a codec that cannot be built or
+			// cannot price under cfg would fail the whole evaluation.
+			for _, w := range workers {
+				w.p.Finish()
+			}
 			root.EndErr(err)
 			return nil, err
 		}
@@ -290,6 +160,7 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		go w.run(&wg, m, root)
 	}
 	var readErr error
+	var entries int64
 	chunkN := 0
 	for {
 		ch, err := r.Next()
@@ -302,6 +173,7 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		}
 		bsp := root.Child("core.broadcast", obs.StageRead).WithChunk(chunkN)
 		chunkN++
+		entries += int64(ch.Len())
 		blk := symBlockPool.Get().(*symBlock)
 		if cap(blk.syms) < ch.Len() {
 			blk.syms = make([]codec.Symbol, 0, ch.Len())
@@ -330,22 +202,29 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		close(w.in)
 	}
 	wg.Wait()
-	if readErr != nil {
-		root.EndErr(readErr)
-		return nil, readErr
-	}
-	for _, w := range workers {
-		if w.err != nil {
-			root.EndErr(w.err)
-			return nil, w.err
+	// Every pricer finishes (returning its pooled buffers); the first
+	// error in deterministic order wins: reader first, then codes order.
+	err := readErr
+	buses := make([]*bus.Bus, len(workers))
+	for i, w := range workers {
+		b, perr := w.p.Finish()
+		if err == nil {
+			err = perr
 		}
+		if perr == nil {
+			buses[i] = b[0]
+		}
+	}
+	if err != nil {
+		root.EndErr(err)
+		return nil, err
 	}
 	rsp := root.Child("core.reduce", obs.StageReduce)
 	stream := r.Name()
 	results := make([]codec.Result, len(workers))
 	for i, w := range workers {
-		results[i] = w.result(stream)
-		codec.RecordRun(results[i].Codec, int64(w.idx), results[i].Transitions)
+		results[i] = codec.ResultOf(w.c, stream, buses[i])
+		codec.RecordRun(results[i].Codec, entries, results[i].Transitions)
 	}
 	rsp.End()
 	root.End()

@@ -447,15 +447,7 @@ func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) 
 		if err != nil {
 			return nil, err
 		}
-		results[i] = codec.Result{
-			Codec:       cs.Name,
-			Stream:      plan.name,
-			BusWidth:    c.BusWidth(),
-			Transitions: merged.Transitions(),
-			Cycles:      merged.Cycles(),
-			PerLine:     merged.PerLine(),
-			MaxPerCycle: merged.MaxPerCycle(),
-		}
+		results[i] = codec.ResultOf(c, plan.name, merged)
 	}
 	return results, nil
 }

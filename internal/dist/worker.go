@@ -275,7 +275,7 @@ func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string,
 		}
 		codecs[i] = c
 	}
-	p := codec.NewShardPricer(codecs, bd, states, int(j.Cut.Entry), codec.ParallelOpts{
+	p := codec.NewShardPricer(codecs, bd, states, int(j.Cut.Entry), codec.RunOpts{
 		Verify:  codec.VerifyMode(j.Verify),
 		PerLine: j.PerLine,
 		Kernel:  codec.Kernel(j.Kernel),

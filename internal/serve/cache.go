@@ -11,11 +11,12 @@ import (
 // Result cache. Evaluation results are a pure function of the trace
 // bytes and the codec parameters, so the cache key is exactly that
 // function's domain: the trace's SHA-256 digest, the normalized codec
-// set, the in-sequence stride (codec.Options.Stride changes every
-// T0-family result) and the pricing kernel. Chunk length and fan-out
-// depth are deliberately NOT in the key — the streaming parity tests
-// pin results to be chunking-independent, so including them would only
-// split hits.
+// set and the in-sequence stride (codec.Options.Stride changes every
+// T0-family result). Chunk length, fan-out depth and the pricing kernel
+// are deliberately NOT in the key — the parity tests pin results to be
+// chunking- and kernel-independent, so including them would only split
+// hits. A kernel that cannot price a codec is refused at admission
+// (parseEval), so a hit never stands in for an invalid request.
 //
 // The cache is LRU-bounded by an approximate resident-byte count, not
 // an entry count: a PerLine-carrying result for a wide bus is two
@@ -32,17 +33,16 @@ type CacheKey struct {
 	Codes string
 	// Stride is the codec.Options in-sequence stride (0 means 1).
 	Stride uint64
-	// Kernel is the pricing kernel name ("auto", "scalar", "plane").
-	Kernel string
 }
 
 // NewCacheKey builds a key from a digest, a codec list, and options.
-func NewCacheKey(digest string, codes []string, stride uint64, kernel codec.Kernel) CacheKey {
+// The kernel does not enter the key (results are kernel-invariant); the
+// parameter stays so existing callers keep compiling.
+func NewCacheKey(digest string, codes []string, stride uint64, _ codec.Kernel) CacheKey {
 	return CacheKey{
 		Digest: digest,
 		Codes:  strings.Join(codes, ","),
 		Stride: stride,
-		Kernel: kernel.String(),
 	}
 }
 

@@ -305,6 +305,22 @@ func (s *Server) parseEval(w http.ResponseWriter, r *http.Request) (evalRequest,
 			return req, false
 		}
 	}
+	// The cache key leaves the kernel out (results are kernel-invariant),
+	// so a kernel that cannot price a codec is refused here, before a
+	// cached result could answer for it. Only the plane kernel refuses
+	// codecs, and every evaluation path samples its verification.
+	if kern == codec.KernelPlane {
+		for _, code := range req.spec.Codes {
+			c, err := codec.New(code, core.Width, s.cfg.Options)
+			if err != nil {
+				continue // the evaluation reports construction failures
+			}
+			if _, err := codec.PlaneEligible(c, kern, codec.VerifySampled); err != nil {
+				Error(w, http.StatusUnprocessableEntity, "%v", err)
+				return req, false
+			}
+		}
+	}
 	var ok bool
 	if req.spec.ChunkLen, ok = posIntParam(w, q.Get("chunklen"), "chunklen"); !ok {
 		return req, false

@@ -302,6 +302,44 @@ func TestServerEvalErrors(t *testing.T) {
 	}
 }
 
+// TestServerKernelSharesCache: results are kernel-invariant, so a
+// kernel=scalar request hits the entry a kernel=auto miss stored; a
+// kernel that cannot price a requested codec is still refused at
+// admission, on the sync and the async path, once the digest is cached.
+func TestServerKernelSharesCache(t *testing.T) {
+	_, hs := newTestServer(t, Config{}, true)
+	meta := upload(t, hs, binaryTrace(t, 512), "alice")
+	eval := func(query string) (int, EvalResponse) {
+		t.Helper()
+		resp, b := doReq(t, http.MethodGet, hs.URL+"/eval?trace="+meta.Digest+query, nil, "alice")
+		var got EvalResponse
+		if resp.StatusCode == 200 {
+			if err := json.Unmarshal(b, &got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, got
+	}
+	status, miss := eval("&codes=t0,gray&kernel=auto")
+	if status != 200 || miss.Cached {
+		t.Fatalf("kernel=auto eval = %d cached=%v, want a 200 miss", status, miss.Cached)
+	}
+	status, hit := eval("&codes=t0,gray&kernel=scalar")
+	if status != 200 || !hit.Cached {
+		t.Fatalf("kernel=scalar eval = %d cached=%v, want a 200 hit", status, hit.Cached)
+	}
+	for i := range miss.Results {
+		if hit.Results[i].Transitions != miss.Results[i].Transitions {
+			t.Errorf("%s: hit %d != miss %d", miss.Results[i].Codec, hit.Results[i].Transitions, miss.Results[i].Transitions)
+		}
+	}
+	for _, mode := range []string{"sync", "async"} {
+		if status, _ := eval("&codes=t0&kernel=plane&mode=" + mode); status != http.StatusUnprocessableEntity {
+			t.Errorf("kernel=plane&codes=t0 (%s) = %d, want 422", mode, status)
+		}
+	}
+}
+
 func TestServerRateLimit(t *testing.T) {
 	_, hs := newTestServer(t, Config{Quotas: Quotas{RatePerSec: 1, RateBurst: 1}}, true)
 	if resp, b := doReq(t, http.MethodGet, hs.URL+"/eval?trace=/no/such", nil, "alice"); resp.StatusCode == 429 {
